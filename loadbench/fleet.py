@@ -13,37 +13,38 @@ import gc
 import json
 import math
 import random
-import time
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
-from layertrace import LayerTracer, install
+from hostspeed import HostSpeed
+from layertrace import LayerTracer, install, patch
 from metrics import layer_metrics, peak_rss_mb, program_counts
 from worlds import SIZES, build_fleet, fleet_inputs, world_seed
 
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
+#: Invoices timed per measurement of the host speed.
+INVOICES_PER_PIECE = 10
 
 
-def _probe_commits(samples: list[float]) -> None:
+def _probe_commits(samples: list[float], speed: HostSpeed) -> None:
     """Time every block commit (aggregator flush -> chain append).
 
-    The fleet's "write" is one ledger block: the host time from the
-    aggregator's flush to the appended block, per block.
+    The fleet's "write" is one ledger block: the CPU time from the
+    aggregator's flush to the appended block, per block, at the
+    reference host speed.
     """
-    from repro.aggregator.ledger_writer import LedgerWriter
 
-    flush = LedgerWriter.flush
-    perf = time.perf_counter
+    def timed(flush):
+        def timed_flush(self, timestamp):
+            blocks, cpu_s = speed.time(lambda: flush(self, timestamp))
+            if blocks:
+                samples.append(cpu_s / len(blocks))
+            return blocks
 
-    def timed_flush(self, timestamp):
-        start = perf()
-        blocks = flush(self, timestamp)
-        if blocks:
-            samples.append((perf() - start) / len(blocks))
-        return blocks
+        return timed_flush
 
-    LedgerWriter.flush = timed_flush
+    patch("repro.aggregator.ledger_writer", "LedgerWriter.flush", timed)
 
 
 def _is_lost_ack_copy(copies: list[dict], roamers: set[str]) -> bool:
@@ -168,9 +169,17 @@ def run_round(workload: str, seed: int, size_name: str, traced: bool,
               spans_path: Path | None = None) -> dict:
     """Run one round and return its samples, counts and check results."""
     tracer = LayerTracer()
+    # Fleet phases are timed in process CPU time scaled to the reference
+    # host speed (see NOTES.md, "Host noise").
+    speed = HostSpeed()
+    write_samples: list[float] = []
     if traced:
         install(tracer)
         tracer.active = True
+    else:
+        # Untraced rounds alone give the write samples, so that
+        # LedgerWriter.flush never carries two wrappers.
+        _probe_commits(write_samples, speed)
     # Imported after install(): a module-level function bound to a local
     # name before it would stay unwrapped.
     from repro.billing import BillingEngine, FlatTariff, SettlementEngine
@@ -179,9 +188,10 @@ def run_round(workload: str, seed: int, size_name: str, traced: bool,
 
     size = SIZES[size_name]
     spec, trips, horizon = fleet_inputs(workload, size, seed)
-    write_samples: list[float] = []
-    _probe_commits(write_samples)
-    perf = time.perf_counter
+
+    def build():
+        with tracer.span("runtime.build"):
+            return build_fleet(spec, trips)
 
     # -- set-up: several builds of the same world, the last one is run.
     setup_s = []
@@ -189,22 +199,17 @@ def run_round(workload: str, seed: int, size_name: str, traced: bool,
     for _ in range(size.builds):
         scenario = None
         gc.collect()
-        start = perf()
-        with tracer.span("runtime.build"):
-            scenario = build_fleet(spec, trips)
-        setup_s.append(perf() - start)
+        scenario, build_s = speed.time(build)
+        setup_s.append(build_s)
     chain = scenario.chain
 
     # -- timed phase: the fleet to its horizon, in 0.1 s slices of
-    # simulated time ending mid-interval.  Every round of a run does the
-    # same work slice by slice, so run.py can compare slices across rounds.
+    # simulated time ending mid-interval, each timed at the host speed
+    # measured right before it.
     gc.collect()
-    chunk_s = []
+    timed_s = 0.0
     for k in range(1, int(horizon * 10) + 1):
-        start = perf()
-        scenario.run_until(min(k * 0.1 + 0.05, horizon))
-        chunk_s.append(perf() - start)
-    timed_s = sum(chunk_s)
+        timed_s += speed.time(lambda: scenario.run_until(min(k * 0.1 + 0.05, horizon)))[1]
     reports = chain.records_total
     write_ms = [s * 1e3 for s in write_samples]
 
@@ -228,10 +233,13 @@ def run_round(workload: str, seed: int, size_name: str, traced: bool,
         headers = HeaderChain()
         headers.extend(chain.headers(0, chain.height))
         for uid, sequence in picks:
-            start = perf()
-            receipt = find_and_issue(chain, uid, sequence)
-            verified = headers.verify_receipt(receipt)
-            proof_ms.append((perf() - start) * 1e3)
+
+            def read():
+                receipt = find_and_issue(chain, uid, sequence)
+                return receipt, headers.verify_receipt(receipt)
+
+            (receipt, verified), proof_s = speed.time(read)
+            proof_ms.append(proof_s * 1e3)
             if not (
                 verified
                 and receipt.record["device_uid"] == uid
@@ -239,19 +247,27 @@ def run_round(workload: str, seed: int, size_name: str, traced: bool,
             ):
                 receipts_bad += 1
 
-    # -- billing: invoice every device, settle every operator pair.
+    # -- billing: invoice every device, settle every operator pair; a
+    # pass is timed in pieces of INVOICES_PER_PIECE invoices.
     period = (0.0, horizon + 1.0)
+    devices = list(scenario.devices.items())
     bill_s = []
     for _ in range(size.billing_passes):
-        start = perf()
         with tracer.span("bench.bill"):
             engine = BillingEngine(chain, FlatTariff())
-            invoices = {
-                name: engine.invoice(device.device_id, period, include_lines=False)
-                for name, device in scenario.devices.items()
-            }
-            matrix = SettlementEngine(chain, FlatTariff(0.0001)).settle(period)
-        bill_s.append(perf() - start)
+            invoices = {}
+            pass_s = 0.0
+            for i in range(0, len(devices), INVOICES_PER_PIECE):
+                piece, piece_s = speed.time(lambda: {
+                    name: engine.invoice(device.device_id, period, include_lines=False)
+                    for name, device in devices[i:i + INVOICES_PER_PIECE]
+                })
+                invoices.update(piece)
+                pass_s += piece_s
+            matrix, settle_s = speed.time(
+                lambda: SettlementEngine(chain, FlatTariff(0.0001)).settle(period)
+            )
+        bill_s.append(pass_s + settle_s)
     tracer.active = False
     rss = peak_rss_mb()
     counts = program_counts(scenario)
@@ -274,7 +290,6 @@ def run_round(workload: str, seed: int, size_name: str, traced: bool,
     return {
         "setup_s": setup_s,
         "timed_s": timed_s,
-        "chunk_s": chunk_s,
         "reports": reports,
         "write_ms": write_ms,
         "proof_ms": proof_ms,

@@ -258,20 +258,26 @@ def _replace_everywhere(original, replacement) -> None:
                 setattr(module, attr, replacement)
 
 
-def install(tracer: LayerTracer) -> None:
-    """Wrap every entry point in :data:`ENTRY_POINTS` (once per process)."""
+def patch(module_name: str, path: str, make_wrapper) -> None:
+    """Replace one entry point (``Class.method`` or a module function)
+    with ``make_wrapper(original)``, once per process and entry point."""
     import importlib
 
-    for span_name, module_name, path in ENTRY_POINTS:
-        module = importlib.import_module(module_name)
-        if "." in path:
-            cls_name, attr = path.split(".")
-            cls = getattr(module, cls_name)
-            raw = inspect.getattr_static(cls, attr)
-            if isinstance(raw, staticmethod):
-                setattr(cls, attr, staticmethod(tracer.wrap(span_name, raw.__func__)))
-            else:
-                setattr(cls, attr, tracer.wrap(span_name, raw))
+    module = importlib.import_module(module_name)
+    if "." in path:
+        cls_name, attr = path.split(".")
+        cls = getattr(module, cls_name)
+        raw = inspect.getattr_static(cls, attr)
+        if isinstance(raw, staticmethod):
+            setattr(cls, attr, staticmethod(make_wrapper(raw.__func__)))
         else:
-            original = getattr(module, path)
-            _replace_everywhere(original, tracer.wrap(span_name, original))
+            setattr(cls, attr, make_wrapper(raw))
+    else:
+        original = getattr(module, path)
+        _replace_everywhere(original, make_wrapper(original))
+
+
+def install(tracer: LayerTracer) -> None:
+    """Wrap every entry point in :data:`ENTRY_POINTS` (once per process)."""
+    for span_name, module_name, path in ENTRY_POINTS:
+        patch(module_name, path, functools.partial(tracer.wrap, span_name))

@@ -33,10 +33,9 @@ def tip_hash(job: tuple[str, str, int]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", choices=sorted(SIZES), required=True)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
     jobs = [(w, args.size, seed) for w in FLEETS for seed in range(WORLD_SEEDS)]
-    with multiprocessing.get_context("spawn").Pool(args.workers) as pool:
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
         tips = pool.map(tip_hash, jobs)
     pinned = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     for (workload, size_name, seed), tip in zip(jobs, tips):

@@ -3,16 +3,16 @@
 Usage (from the repository root)::
 
     python3 loadbench/run.py --workload fleet_static --seed 1 \
-        --seconds 30 --trace 0
+        --seconds 36 --trace 0
 
 Workloads are ``fleet_static``, ``fleet_roaming`` and ``serve_ingest``
-(see NOTES.md for why each exists).  The run is made of rounds, each in
-a fresh process, until ``--seconds`` of rounds have been spent, and the
-rounds are reduced to one value per metric as NOTES.md ("Host noise")
-describes.  With ``--trace 0`` the last stdout line carries the
-end-to-end metrics; with ``--trace 1`` untraced and traced rounds
-alternate and it carries the per-layer metrics, including the
-traced-minus-untraced overhead.  The exit code is non-zero when any
+(see NOTES.md for why each exists).  The run is made of
+``--seconds // ROUND_S`` rounds (at least ``MIN_ROUNDS``), each in a
+fresh process, and the rounds are reduced to one value per metric as
+NOTES.md ("Host noise") describes.  With ``--trace 0`` the last stdout
+line carries the end-to-end metrics; with ``--trace 1`` untraced and
+traced rounds alternate and it carries the per-layer metrics, including
+the traced-minus-untraced overhead.  The exit code is non-zero when any
 output check fails (the result then says ``"correct": false``) or when
 the program cannot be run at all (no result is printed).
 """
@@ -26,7 +26,6 @@ import select
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 from metrics import END_TO_END, PER_LAYER
@@ -35,8 +34,11 @@ from worlds import SIZES
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("fleet_static", "fleet_roaming", "serve_ingest")
-#: Untraced rounds per run at least.
+#: Rounds per run at least.
 MIN_ROUNDS = 3
+#: Host seconds one round of any workload takes on the current code
+#: (2-core host, 10-15 s); a run makes ``--seconds // ROUND_S`` rounds.
+ROUND_S = 12
 #: No single round may take longer than this.
 ROUND_TIMEOUT_S = 150
 
@@ -54,8 +56,9 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _round_cmd(kind: str, args: argparse.Namespace, traced: bool, *extra: str) -> list[str]:
-    cmd = [sys.executable, str(HERE / "round.py"), kind, "--seed", str(args.seed),
+def _round_cmd(kind: str, args: argparse.Namespace, seed: int, traced: bool,
+               *extra: str) -> list[str]:
+    cmd = [sys.executable, str(HERE / "round.py"), kind, "--seed", str(seed),
            "--size", args.size, "--trace", str(int(traced)), *extra]
     if traced:
         cmd += ["--spans", str(ROOT / ".loadbench" / f"spans-{args.workload}.tsv")]
@@ -81,18 +84,18 @@ def _run(cmd: list[str], what: str) -> dict:
     return _last_json(proc.stdout, what)
 
 
-def fleet_round(args: argparse.Namespace, traced: bool) -> dict:
+def fleet_round(args: argparse.Namespace, seed: int, traced: bool) -> dict:
     """One fleet round in a fresh process."""
-    return _run(_round_cmd("fleet", args, traced, "--workload", args.workload),
+    return _run(_round_cmd("fleet", args, seed, traced, "--workload", args.workload),
                 f"{args.workload} round")
 
 
-def serve_round(args: argparse.Namespace, traced: bool) -> dict:
+def serve_round(args: argparse.Namespace, seed: int, traced: bool) -> dict:
     """A fresh server process, then a load-generator process against it."""
     # The server's stderr goes straight to ours: nothing reads a pipe
     # while the load generator runs.
     server = subprocess.Popen(
-        _round_cmd("serve-server", args, traced), stdin=subprocess.PIPE,
+        _round_cmd("serve-server", args, seed, traced), stdin=subprocess.PIPE,
         stdout=subprocess.PIPE, text=True, env=_env(), cwd=ROOT,
     )
     try:
@@ -101,7 +104,7 @@ def serve_round(args: argparse.Namespace, traced: bool) -> dict:
         ready = _last_json(server.stdout.readline(), "serve server")
         load = _run(
             [sys.executable, str(HERE / "round.py"), "serve-load", "--seed",
-             str(args.seed), "--size", args.size, "--port", str(ready["port"])],
+             str(seed), "--size", args.size, "--port", str(ready["port"])],
             "serve load generator",
         )
         out, _ = server.communicate("stop\n", timeout=ROUND_TIMEOUT_S)
@@ -146,35 +149,30 @@ def _pct(samples: list[float], q: int) -> float:
     return statistics.quantiles(samples, n=100, method="inclusive")[q - 1]
 
 
+def round_count(seconds: float) -> int:
+    """Rounds in a run of ``--seconds``: a number fixed by ``--seconds``
+    alone, so a faster program is reduced over as many rounds as a
+    slower one."""
+    return max(MIN_ROUNDS, int(seconds // ROUND_S))
+
+
 def run_rounds(args: argparse.Namespace) -> list[tuple[bool, dict]]:
-    """Rounds until ``--seconds`` are spent: (traced?, result) pairs."""
-    one_round = serve_round if args.workload == "serve_ingest" else fleet_round
-    started = time.perf_counter()
-    rounds: list[tuple[bool, dict]] = []
-    durations = []
-    while True:
-        # With tracing on, untraced and traced rounds alternate so the
-        # overhead compares neighbours.
-        traced = bool(args.trace) and len(rounds) % 2 == 1
-        start = time.perf_counter()
-        rounds.append((traced, one_round(args, traced)))
-        durations.append(time.perf_counter() - start)
-        minimum = 2 if args.trace else MIN_ROUNDS
-        elapsed = time.perf_counter() - started
-        if len(rounds) >= minimum and elapsed + statistics.mean(durations) > args.seconds:
-            return rounds
+    """The run's rounds, one after another: (traced?, result) pairs.
 
-
-def _paired(rounds: list[dict], key: str, reduce) -> list[float]:
-    """``reduce`` over the rounds of each position of ``key``.
-
-    A fleet run repeats one deterministic world, so the i-th receipt,
-    block or time slice is the same work in every round.
+    Round ``i`` of a run of ``n`` rounds gets the seed ``n * seed + i``,
+    so every round runs a different world and the tails cover several.
+    With tracing on, untraced and traced rounds alternate and each
+    traced round repeats the world of the untraced one before it, so the
+    overhead compares the same work.
     """
-    columns = list(zip(*(r[key] for r in rounds)))
-    if any(len(r[key]) != len(columns) for r in rounds):
-        raise RoundError(f"rounds of one fleet run disagree on their {key} count")
-    return [reduce(c) for c in columns]
+    one_round = serve_round if args.workload == "serve_ingest" else fleet_round
+    n = round_count(args.seconds)
+    rounds: list[tuple[bool, dict]] = []
+    for i in range(n):
+        traced = bool(args.trace) and i % 2 == 1
+        world = i // 2 if args.trace else i
+        rounds.append((traced, one_round(args, n * args.seed + world, traced)))
+    return rounds
 
 
 def summarize(args: argparse.Namespace, rounds: list[tuple[bool, dict]]) -> dict:
@@ -184,22 +182,8 @@ def summarize(args: argparse.Namespace, rounds: list[tuple[bool, dict]]) -> dict
     attempted = sum(r["attempted"] for _, r in rounds)
     failed = sum(r["failed"] for _, r in rounds)
     rates = [r["reports"] / r["timed_s"] for r in plain]
-    # The slowest round's median billing pass (see NOTES.md, "Host noise").
-    bill_s = max(statistics.median(r["bill_s"]) for r in plain)
-    if args.workload == "serve_ingest" or len(plain) < 3:
-        # Serve requests differ from round to round: pool every sample.
-        write_ms = [x for r in plain for x in r["write_ms"]]
-        proof_ms = [x for r in plain for x in r["proof_ms"]]
-        write_p50, proof_p50 = _pct(write_ms, 50), _pct(proof_ms, 50)
-        rate = statistics.median(rates)
-    else:
-        # Each unit of work at its slowest round for rates and medians,
-        # at its median round for the tails (see NOTES.md, "Host noise").
-        write_ms = _paired(plain, "write_ms", statistics.median)
-        proof_ms = _paired(plain, "proof_ms", statistics.median)
-        write_p50 = _pct(_paired(plain, "write_ms", max), 50)
-        proof_p50 = _pct(_paired(plain, "proof_ms", max), 50)
-        rate = plain[0]["reports"] / sum(_paired(plain, "chunk_s", max))
+    write_ms = [x for r in plain for x in r["write_ms"]]
+    proof_ms = [x for r in plain for x in r["proof_ms"]]
     for _, r in rounds:
         for failure in r["failures"]:
             print(f"CHECK FAILED: {failure}")
@@ -212,12 +196,12 @@ def summarize(args: argparse.Namespace, rounds: list[tuple[bool, dict]]) -> dict
     if not args.trace:
         values = {
             "setup_s": statistics.median(x for r in plain for x in r["setup_s"]),
-            "reports_per_s": rate,
-            "write_p50_ms": write_p50,
+            "reports_per_s": statistics.median(rates),
+            "write_p50_ms": _pct(write_ms, 50),
             "write_p99_ms": _pct(write_ms, 99),
-            "proof_p50_ms": proof_p50,
+            "proof_p50_ms": _pct(proof_ms, 50),
             "proof_p99_ms": _pct(proof_ms, 99),
-            "bill_s": bill_s,
+            "bill_s": statistics.median(x for r in plain for x in r["bill_s"]),
             "peak_rss_mb": statistics.median(r["rss_mb"] for r in plain),
             "ok_frac": 1.0 - failed / attempted,
         }
@@ -234,7 +218,7 @@ def summarize(args: argparse.Namespace, rounds: list[tuple[bool, dict]]) -> dict
             "chain.known_dups": statistics.mean(r["known_dups"] for r in traced),
             "serve.wire_s": wire,
             "serve.wire_frac": wire / rtt if rtt else 0.0,
-            "trace.overhead_frac": rate / traced_rate - 1.0,
+            "trace.overhead_frac": statistics.median(rates) / traced_rate - 1.0,
             "write.samples": len(write_ms),
             "proof.samples": len(proof_ms),
         })

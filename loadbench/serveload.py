@@ -21,6 +21,7 @@ import threading
 import time
 from pathlib import Path
 
+from hostspeed import HostSpeed
 from layertrace import LayerTracer, install
 from metrics import layer_metrics, peak_rss_mb, program_counts
 from worlds import serve_spec
@@ -74,10 +75,11 @@ def run_server(seed: int, traced: bool, spans_path: Path | None = None) -> dict:
         {r["device"] for block in chain for r in block.records}
     )
     period = (0.0, sim.now + 1.0)
-    bill_s = []
-    for _ in range(BILLING_PASSES):
-        time.sleep(BILLING_GAP_S)
-        start = perf()
+    # Billing runs on this thread alone: CPU time at the reference host
+    # speed, as in the fleet rounds (see NOTES.md, "Host noise").
+    speed = HostSpeed()
+
+    def bill():
         with tracer.span("bench.bill"):
             engine = BillingEngine(chain, FlatTariff())
             invoices = {
@@ -85,7 +87,13 @@ def run_server(seed: int, traced: bool, spans_path: Path | None = None) -> dict:
                 for name in devices
             }
             SettlementEngine(chain, FlatTariff(0.0001)).settle(period)
-        bill_s.append(perf() - start)
+        return invoices
+
+    bill_s = []
+    for _ in range(BILLING_PASSES):
+        time.sleep(BILLING_GAP_S)
+        invoices, pass_s = speed.time(bill)
+        bill_s.append(pass_s)
     tracer.active = False
 
     failures = []

@@ -69,7 +69,8 @@ def test_a_wrong_pinned_digest_fails_the_run(tmp_path):
     root = _copy(tmp_path, with_program=True)
     digests = root / "loadbench" / "digests.json"
     pinned = json.loads(digests.read_text())
-    pinned["fleet_static"]["tiny"]["2"] = "0" * 64
+    for world in pinned["fleet_static"]["tiny"]:
+        pinned["fleet_static"]["tiny"][world] = "0" * 64
     digests.write_text(json.dumps(pinned))
     proc = _run(root, "fleet_static", 0)
     assert proc.returncode != 0
@@ -84,3 +85,13 @@ def test_a_missing_program_fails_without_a_result(tmp_path):
     proc = _run(root, "fleet_static", 0)
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
+
+
+def test_calibration_inside_a_timed_call_is_not_counted():
+    from hostspeed import REFERENCE_S, HostSpeed
+
+    speed = HostSpeed()
+    # 200 nested calibration tasks take ~200 * REFERENCE_S; the outer
+    # call's own work is a few microseconds per inner call.
+    _, outer_s = speed.time(lambda: [speed.time(lambda: None) for _ in range(200)])
+    assert 0 < outer_s < 20 * REFERENCE_S

@@ -1,6 +1,7 @@
 """The benchmark's worlds: sizes, seeds and the roaming churn.
 
-Every input is derived from the workload seed.  The fleet worlds use
+Every input is derived from the round's seed (``run.py`` derives one
+per round from the workload seed).  The fleet worlds use
 ``seed % WORLD_SEEDS`` as the spec seed so that every seed lands on a
 world whose ledger digest is pinned in ``digests.json``; the receipt
 picks and the serve traffic use the full seed.
@@ -34,7 +35,7 @@ class Size:
 
 SIZES = {
     # 1,000 devices in 50 networks, as the workloads are defined.
-    "full": Size(50, 20, 5.05, 1000, 3, 3),
+    "full": Size(50, 20, 5.05, 1000, 3, 5),
     # A seconds-long world for the benchmark's own tests.
     "tiny": Size(2, 5, 5.05, 50, 2, 2),
 }
