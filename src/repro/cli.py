@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.errors import ConfigError
 from repro.experiments.runner import EXPERIMENTS, run_all
 
 
@@ -100,6 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_spec_file(path: str):
+    """The spec in ``path``; an unreadable or invalid file is a ConfigError."""
+    from repro.runtime import ScenarioSpec
+
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
+    return ScenarioSpec.from_json(text)
+
+
+def _spec_error(exc: ConfigError) -> int:
+    """Report a bad spec as a usage error: one stderr line, argparse's code."""
+    print(f"repro-experiments: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def run_scenario_file(
     path: str,
     until: float,
@@ -119,9 +137,9 @@ def run_scenario_file(
     """
     import dataclasses
 
-    from repro.runtime import ObsSpec, ScenarioSpec, build
+    from repro.runtime import ObsSpec, build
 
-    spec = ScenarioSpec.from_json(Path(path).read_text())
+    spec = _load_spec_file(path)
     if vector and not spec.vector.enabled:
         spec = dataclasses.replace(
             spec, vector=dataclasses.replace(spec.vector, enabled=True)
@@ -187,12 +205,14 @@ def run_serve(argv: list[str]) -> int:
     """``serve`` subcommand: host a world over HTTP until interrupted."""
     import time
 
-    from repro.runtime import ScenarioSpec
     from repro.serve import AggregatorService, ServeRunner
 
     args = build_serve_parser().parse_args(argv)
     if args.scenario:
-        spec = ScenarioSpec.from_json(Path(args.scenario).read_text())
+        try:
+            spec = _load_spec_file(args.scenario)
+        except ConfigError as exc:
+            return _spec_error(exc)
     else:
         from repro.workloads.scenarios import paper_testbed_spec
 
@@ -242,13 +262,16 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
     if args.scenario:
-        snapshot = run_scenario_file(
-            args.scenario,
-            args.until,
-            obs_dir=args.obs_dir,
-            shards=_parse_count(args.shards, "--shards"),
-            vector=args.vector,
-        )
+        try:
+            snapshot = run_scenario_file(
+                args.scenario,
+                args.until,
+                obs_dir=args.obs_dir,
+                shards=_parse_count(args.shards, "--shards"),
+                vector=args.vector,
+            )
+        except ConfigError as exc:
+            return _spec_error(exc)
         text = json.dumps(snapshot, indent=2, default=str)
         print(text)
         if args.out:

@@ -17,8 +17,12 @@ produced by the thin factories in :mod:`repro.workloads.scenarios`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+import functools
+import json
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from types import UnionType
+from typing import Any, Callable, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigError
 
@@ -33,15 +37,115 @@ FAULT_KINDS = (
     "backhaul_partition",
 )
 
+_Spec = TypeVar("_Spec", bound="SpecCodec")
 
-def _require_keys(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+class SpecCodec:
+    """The JSON codec every spec dataclass inherits, driven by its fields.
+
+    Encoding maps nested specs to dicts, tuples to lists and copies
+    dicts.  Decoding is strict, because spec files are outside input:
+    unknown keys are rejected, absent keys take the field default (so
+    spec files older than a block still load), and every value must
+    match its annotated type — ``bool`` is not an ``int`` and floats
+    must be finite.  Every failure is a :class:`ConfigError` naming the
+    offending path.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-compatible form; :meth:`from_dict` inverts it exactly."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls: type[_Spec], data: Any) -> _Spec:
+        """Inverse of :meth:`to_dict`, type-checked against the fields."""
+        return _decode(cls, data, cls.__name__.removesuffix("Spec").lower())
+
+    def to_json(self, indent: int | None = 2) -> str:
+        """Serialize to a JSON document."""
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls: type[_Spec], text: str) -> _Spec:
+        """Parse a JSON document produced by :meth:`to_json`."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"spec is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, SpecCodec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """``value`` checked against (and rebuilt as) type ``tp``; ``where`` is its path."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # ``X | None``
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {value!r}")
+        return tuple(
+            _decode(a, item, f"{where}[{i}]") for i, (a, item) in enumerate(zip(args, value))
+        )
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        return {
+            _decode(args[0], k, where): _decode(args[1], v, f"{where}.{k}")
+            for k, v in value.items()
+        }
+    if issubclass(tp, SpecCodec):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        types = _field_types(tp)
+        unknown = set(value) - set(types)
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = _decode(types[f.name], value[f.name], f"{where}.{f.name}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}: missing required key {f.name!r}")
+        return tp(**kwargs)
+    if tp is float:
+        # abs() <= max is False for inf and nan, and for ints too large
+        # to become a float.
+        ok = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+        )
+    else:
+        ok = isinstance(value, tp) and (tp is bool or not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(SpecCodec):
     """A load-current profile as data.
 
     Attributes:
@@ -79,19 +183,10 @@ class ProfileSpec:
         except TypeError as exc:
             raise ConfigError(f"bad {self.kind} profile params {self.params}: {exc}") from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProfileSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(data, {"kind", "params"}, "profile")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(SpecCodec):
     """One grid network and its aggregator.
 
     Attributes:
@@ -119,36 +214,10 @@ class NetworkSpec:
         if self.slot_count is not None and self.slot_count < 1:
             raise ConfigError(f"slot count must be >= 1, got {self.slot_count}")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "name": self.name,
-            "supply_voltage_v": self.supply_voltage_v,
-            "wire_resistance_ohms": self.wire_resistance_ohms,
-            "wire_leakage_ma": self.wire_leakage_ma,
-            "slot_count": self.slot_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "NetworkSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"name", "supply_voltage_v", "wire_resistance_ohms", "wire_leakage_ma",
-             "slot_count"},
-            "network",
-        )
-        return cls(
-            name=data["name"],
-            supply_voltage_v=data.get("supply_voltage_v", 5.0),
-            wire_resistance_ohms=data.get("wire_resistance_ohms", 0.1),
-            wire_leakage_ma=data.get("wire_leakage_ma", 2.5),
-            slot_count=data.get("slot_count"),
-        )
 
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(SpecCodec):
     """One metering device.
 
     Attributes:
@@ -175,33 +244,10 @@ class DeviceSpec:
         if self.distance_m <= 0:
             raise ConfigError(f"distance must be positive, got {self.distance_m}")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "name": self.name,
-            "network": self.network,
-            "profile": self.profile.to_dict(),
-            "enter_at": self.enter_at,
-            "distance_m": self.distance_m,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DeviceSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data, {"name", "network", "profile", "enter_at", "distance_m"}, "device"
-        )
-        return cls(
-            name=data["name"],
-            network=data["network"],
-            profile=ProfileSpec.from_dict(data["profile"]),
-            enter_at=data.get("enter_at", 0.0),
-            distance_m=data.get("distance_m", 5.0),
-        )
 
 
 @dataclass(frozen=True)
-class MeshSpec:
+class MeshSpec(SpecCodec):
     """Backhaul mesh shape.
 
     Attributes:
@@ -236,27 +282,10 @@ class MeshSpec:
             return [(names[0], other) for other in names[1:]]
         return [tuple(pair) for pair in self.links]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "topology": self.topology,
-            "latency_s": self.latency_s,
-            "links": [list(pair) for pair in self.links],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MeshSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(data, {"topology", "latency_s", "links"}, "mesh")
-        return cls(
-            topology=data.get("topology", "full"),
-            latency_s=data.get("latency_s", 0.001),
-            links=tuple(tuple(pair) for pair in data.get("links", [])),
-        )
 
 
 @dataclass(frozen=True)
-class TransportSpec:
+class TransportSpec(SpecCodec):
     """Which wire backend carries device-to-aggregator traffic.
 
     Attributes:
@@ -334,37 +363,10 @@ class TransportSpec:
             assoc_s=self.assoc_s,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "kind": self.kind,
-            "latency_s": self.latency_s,
-            "loss_p": self.loss_p,
-            "connect_s": self.connect_s,
-            "scan_s": self.scan_s,
-            "assoc_s": self.assoc_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TransportSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"kind", "latency_s", "loss_p", "connect_s", "scan_s", "assoc_s"},
-            "transport",
-        )
-        return cls(
-            kind=data.get("kind", "mqtt"),
-            latency_s=data.get("latency_s", 0.0005),
-            loss_p=data.get("loss_p", 0.0),
-            connect_s=data.get("connect_s", 0.35),
-            scan_s=data.get("scan_s", 4.29),
-            assoc_s=data.get("assoc_s", 1.2),
-        )
 
 
 @dataclass(frozen=True)
-class ObsSpec:
+class ObsSpec(SpecCodec):
     """Observability configuration for a run.
 
     Default **off**: a spec without an ``obs`` block builds the exact
@@ -391,31 +393,10 @@ class ObsSpec:
                 f"sample_every must be >= 1, got {self.sample_every}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "enabled": self.enabled,
-            "spans": self.spans,
-            "profile": self.profile,
-            "sample_every": self.sample_every,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ObsSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data, {"enabled", "spans", "profile", "sample_every"}, "obs"
-        )
-        return cls(
-            enabled=data.get("enabled", False),
-            spans=data.get("spans", True),
-            profile=data.get("profile", True),
-            sample_every=data.get("sample_every", 10_000),
-        )
 
 
 @dataclass(frozen=True)
-class LedgerSpec:
+class LedgerSpec(SpecCodec):
     """Ledger sync, checkpointing and pruning configuration.
 
     Default **off** on every axis: a spec without a ``ledger`` block
@@ -465,36 +446,10 @@ class LedgerSpec:
                 "pruning requires checkpointing (set checkpoint_interval_blocks)"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "sync_enabled": self.sync_enabled,
-            "header_batch_size": self.header_batch_size,
-            "sync_interval_s": self.sync_interval_s,
-            "checkpoint_interval_blocks": self.checkpoint_interval_blocks,
-            "pruning_depth_blocks": self.pruning_depth_blocks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LedgerSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"sync_enabled", "header_batch_size", "sync_interval_s",
-             "checkpoint_interval_blocks", "pruning_depth_blocks"},
-            "ledger",
-        )
-        return cls(
-            sync_enabled=data.get("sync_enabled", False),
-            header_batch_size=data.get("header_batch_size", 16),
-            sync_interval_s=data.get("sync_interval_s"),
-            checkpoint_interval_blocks=data.get("checkpoint_interval_blocks", 0),
-            pruning_depth_blocks=data.get("pruning_depth_blocks", 0),
-        )
 
 
 @dataclass(frozen=True)
-class ShardSpec:
+class ShardSpec(SpecCodec):
     """Sharded-execution configuration.
 
     Default **serial** (``shards=1``): a spec without a ``sharding``
@@ -531,29 +486,10 @@ class ShardSpec:
                 f"{self.shards} shards"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "shards": self.shards,
-            "window_s": self.window_s,
-            "assignment": [list(group) for group in self.assignment],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(data, {"shards", "window_s", "assignment"}, "sharding")
-        return cls(
-            shards=data.get("shards", 1),
-            window_s=data.get("window_s"),
-            assignment=tuple(
-                tuple(group) for group in data.get("assignment", [])
-            ),
-        )
 
 
 @dataclass(frozen=True)
-class VectorSpec:
+class VectorSpec(SpecCodec):
     """Vectorized (array-backed cohort) execution configuration.
 
     Default **off**: a spec without a ``vector`` block builds and runs
@@ -590,31 +526,10 @@ class VectorSpec:
                 f"vector backend must be 'auto' or 'python', got {self.backend!r}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "enabled": self.enabled,
-            "scan_interval_s": self.scan_interval_s,
-            "min_cohort": self.min_cohort,
-            "backend": self.backend,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "VectorSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data, {"enabled", "scan_interval_s", "min_cohort", "backend"}, "vector"
-        )
-        return cls(
-            enabled=data.get("enabled", False),
-            scan_interval_s=data.get("scan_interval_s", 1.0),
-            min_cohort=data.get("min_cohort", 2),
-            backend=data.get("backend", "auto"),
-        )
 
 
 @dataclass(frozen=True)
-class ServeSpec:
+class ServeSpec(SpecCodec):
     """Serve-mode configuration: the aggregator as a networked service.
 
     Default **off**: a spec without a ``serve`` block builds and runs
@@ -635,7 +550,8 @@ class ServeSpec:
         step_s: Simulated seconds the kernel advances per ingestion
             step — one full aggregator duty cycle (processing latency,
             downlink, feeder tick, block flush) per batch.
-        poll_timeout_s: Default long-poll timeout of ``GET /alerts``.
+        poll_timeout_s: Default and longest long-poll timeout of
+            ``GET /alerts`` (a client's ``timeout_s`` is clamped to it).
     """
 
     enabled: bool = False
@@ -657,37 +573,10 @@ class ServeSpec:
                 f"serve poll timeout must be >= 0, got {self.poll_timeout_s}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "enabled": self.enabled,
-            "host": self.host,
-            "port": self.port,
-            "network": self.network,
-            "step_s": self.step_s,
-            "poll_timeout_s": self.poll_timeout_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServeSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"enabled", "host", "port", "network", "step_s", "poll_timeout_s"},
-            "serve",
-        )
-        return cls(
-            enabled=data.get("enabled", False),
-            host=data.get("host", "127.0.0.1"),
-            port=data.get("port", 0),
-            network=data.get("network"),
-            step_s=data.get("step_s", 1.0),
-            poll_timeout_s=data.get("poll_timeout_s", 5.0),
-        )
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(SpecCodec):
     """One named fault window.
 
     Attributes:
@@ -736,39 +625,10 @@ class FaultSpec:
         if self.kind in ("broker_noise", "aggregator_crash") and not self.target:
             raise ConfigError(f"{self.kind} fault {self.name!r} needs a target")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "start_at": self.start_at,
-            "duration_s": self.duration_s,
-            "target": self.target,
-            "groups": [list(group) for group in self.groups],
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"kind", "name", "start_at", "duration_s", "target", "groups", "params"},
-            "fault",
-        )
-        return cls(
-            kind=data["kind"],
-            name=data["name"],
-            start_at=data["start_at"],
-            duration_s=data.get("duration_s"),
-            target=data.get("target"),
-            groups=tuple(tuple(group) for group in data.get("groups", [])),
-            params=dict(data.get("params", {})),
-        )
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecCodec):
     """A complete simulation world as data.
 
     Attributes:
@@ -879,81 +739,3 @@ class ScenarioSpec:
         """Network names in declaration order."""
         return [n.name for n in self.networks]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form; :meth:`from_dict` inverts it exactly."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "t_measure_s": self.t_measure_s,
-            "device_retry": self.device_retry,
-            "networks": [n.to_dict() for n in self.networks],
-            "devices": [d.to_dict() for d in self.devices],
-            "mesh": self.mesh.to_dict(),
-            "transport": self.transport.to_dict(),
-            "faults": [f.to_dict() for f in self.faults],
-            "obs": self.obs.to_dict(),
-            "ledger": self.ledger.to_dict(),
-            "sharding": self.sharding.to_dict(),
-            "vector": self.vector.to_dict(),
-            "serve": self.serve.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"name", "seed", "t_measure_s", "device_retry", "networks", "devices",
-             "mesh", "transport", "faults", "obs", "ledger", "sharding", "vector",
-             "serve"},
-            "scenario",
-        )
-        return cls(
-            name=data.get("name", "scenario"),
-            seed=data.get("seed", 0),
-            t_measure_s=data.get("t_measure_s", 0.1),
-            device_retry=data.get("device_retry", True),
-            networks=tuple(NetworkSpec.from_dict(n) for n in data.get("networks", [])),
-            devices=tuple(DeviceSpec.from_dict(d) for d in data.get("devices", [])),
-            mesh=MeshSpec.from_dict(data["mesh"]) if "mesh" in data else MeshSpec(),
-            transport=(
-                TransportSpec.from_dict(data["transport"])
-                if "transport" in data
-                else TransportSpec()
-            ),
-            faults=tuple(FaultSpec.from_dict(f) for f in data.get("faults", [])),
-            obs=ObsSpec.from_dict(data["obs"]) if "obs" in data else ObsSpec(),
-            ledger=(
-                LedgerSpec.from_dict(data["ledger"])
-                if "ledger" in data
-                else LedgerSpec()
-            ),
-            sharding=(
-                ShardSpec.from_dict(data["sharding"])
-                if "sharding" in data
-                else ShardSpec()
-            ),
-            vector=(
-                VectorSpec.from_dict(data["vector"])
-                if "vector" in data
-                else VectorSpec()
-            ),
-            serve=(
-                ServeSpec.from_dict(data["serve"])
-                if "serve" in data
-                else ServeSpec()
-            ),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialize to a JSON document."""
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a JSON document produced by :meth:`to_json`."""
-        import json
-
-        return cls.from_dict(json.loads(text))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import threading
 import time
 from typing import Any
@@ -302,10 +303,19 @@ class AggregatorService:
 
         Blocks up to ``timeout_s`` (default: the spec's poll timeout)
         for a new alert before returning an empty batch; ``next`` is
-        the cursor to pass as ``since`` on the next poll.
+        the cursor to pass as ``since`` on the next poll.  A client's
+        ``timeout_s`` is capped at ``poll_timeout_s`` so no request can
+        pin a handler thread longer than the spec allows (a negative
+        one returns at once).
+
+        Raises:
+            ConfigError: ``timeout_s`` is not finite.
         """
+        cap = self._serve.poll_timeout_s
+        if timeout_s is not None and not math.isfinite(timeout_s):
+            raise ConfigError(f"timeout_s must be finite, got {timeout_s}")
         deadline = time.monotonic() + (
-            self._serve.poll_timeout_s if timeout_s is None else timeout_s
+            cap if timeout_s is None else min(timeout_s, cap)
         )
         with self._alert_cond:
             while self._alerts_base + len(self._alerts) <= since:

@@ -1,12 +1,11 @@
-"""Tests for the CLI entry point and scenario-params config."""
+"""Tests for the CLI entry point and the experiment runner."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.config import ScenarioParams, load_params, save_params
-from repro.errors import ConfigError, ExperimentError
+from repro.errors import ExperimentError
 from repro.experiments.runner import EXPERIMENTS, run_all
 
 
@@ -53,46 +52,3 @@ class TestCli:
         assert args.experiments == []
         assert not args.list
 
-
-class TestScenarioParams:
-    def test_defaults_valid(self):
-        params = ScenarioParams()
-        assert params.n_networks == 2
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_networks": 0},
-            {"devices_per_network": -1},
-            {"t_measure_s": 0.0},
-            {"duration_s": -5.0},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            ScenarioParams(**kwargs)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "params.json"
-        params = ScenarioParams(seed=9, n_networks=3, duration_s=12.0)
-        save_params(params, path)
-        assert load_params(path) == params
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps({"seed": 1, "bogus": True}))
-        with pytest.raises(ConfigError):
-            load_params(path)
-
-    def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_params(path)
-        path.write_text("[1, 2]")
-        with pytest.raises(ConfigError):
-            load_params(path)
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_params(tmp_path / "absent.json")

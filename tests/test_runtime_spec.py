@@ -4,6 +4,7 @@ Covers the declarative-spec contract end to end:
 
 * lossless round-trip — ``from_dict(to_dict())`` and the JSON path
   reproduce the spec exactly, over hypothesis-generated specs,
+* strict decoding — every malformed spec document raises ``ConfigError``,
 * determinism — the spec-built paper testbed reproduces the ledger
   digest the imperative builder produced before the refactor,
 * provenance — ``snapshot()`` carries the master seed and the
@@ -24,13 +25,19 @@ from repro.errors import ConfigError
 from repro.runtime import (
     DeviceSpec,
     FaultSpec,
+    LedgerSpec,
     MeshSpec,
     NetworkSpec,
+    ObsSpec,
     ProfileSpec,
     ScenarioSpec,
+    ServeSpec,
+    ShardSpec,
     SimContext,
+    TransportSpec,
     build,
 )
+from repro.runtime.spec import VectorSpec
 from repro.workloads.scenarios import paper_testbed_spec, scaled_spec
 
 # Ledger tip hash of build_paper_testbed(seed=7) run to t=30.0, captured
@@ -78,6 +85,21 @@ _profiles = st.one_of(
 )
 
 
+def _split(draw, names, parts):
+    """``names`` shuffled and cut into ``parts`` non-empty groups."""
+    order = draw(st.permutations(names))
+    cuts = draw(
+        st.lists(
+            st.integers(1, max(1, len(order) - 1)),
+            min_size=parts - 1,
+            max_size=parts - 1,
+            unique=True,
+        )
+    )
+    bounds = [0, *sorted(cuts), len(order)]
+    return tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
 @st.composite
 def scenario_specs(draw):
     """A valid ScenarioSpec with coherent cross-references."""
@@ -115,15 +137,93 @@ def scenario_specs(draw):
         topology=draw(st.sampled_from(("full", "line", "star"))),
         latency_s=draw(st.floats(min_value=1e-4, max_value=0.5)),
     )
+    if draw(st.booleans()):
+        mesh = MeshSpec(
+            topology="explicit",
+            latency_s=mesh.latency_s,
+            links=tuple(
+                draw(
+                    st.lists(
+                        st.tuples(
+                            st.sampled_from(network_names),
+                            st.sampled_from(network_names),
+                        ),
+                        max_size=4,
+                    )
+                )
+            ),
+        )
+    transport = TransportSpec(
+        kind=draw(st.sampled_from(("mqtt", "direct", "serve"))),
+        latency_s=draw(st.floats(min_value=0.0, max_value=0.1)),
+        loss_p=draw(st.floats(min_value=0.0, max_value=0.5)),
+        connect_s=draw(st.floats(min_value=0.01, max_value=2.0)),
+        scan_s=draw(st.floats(min_value=0.0, max_value=5.0)),
+        assoc_s=draw(st.floats(min_value=0.0, max_value=2.0)),
+    )
+    obs = ObsSpec(
+        enabled=draw(st.booleans()),
+        spans=draw(st.booleans()),
+        profile=draw(st.booleans()),
+        sample_every=draw(st.integers(min_value=1, max_value=10**6)),
+    )
+    checkpoint_every = draw(st.integers(min_value=0, max_value=16))
+    ledger = LedgerSpec(
+        sync_enabled=draw(st.booleans()),
+        header_batch_size=draw(st.integers(min_value=1, max_value=64)),
+        sync_interval_s=draw(st.one_of(st.none(), st.floats(0.1, 60.0))),
+        checkpoint_interval_blocks=checkpoint_every,
+        pruning_depth_blocks=draw(
+            st.integers(min_value=0, max_value=8 if checkpoint_every else 0)
+        ),
+    )
+    shards = draw(st.integers(min_value=1, max_value=len(network_names)))
+    assignment = _split(draw, network_names, shards) if draw(st.booleans()) else ()
+    sharding = ShardSpec(
+        shards=shards,
+        window_s=draw(st.one_of(st.none(), st.floats(1e-4, 1.0))),
+        assignment=assignment,
+    )
+    vector = VectorSpec(
+        enabled=draw(st.booleans()),
+        scan_interval_s=draw(st.floats(min_value=0.1, max_value=10.0)),
+        min_cohort=draw(st.integers(min_value=1, max_value=8)),
+        backend=draw(st.sampled_from(("auto", "python"))),
+    )
+    serve = ServeSpec(
+        enabled=draw(st.booleans()),
+        host=draw(st.sampled_from(("127.0.0.1", "0.0.0.0"))),
+        port=draw(st.integers(min_value=0, max_value=65535)),
+        network=draw(st.one_of(st.none(), st.sampled_from(network_names))),
+        step_s=draw(st.floats(min_value=0.01, max_value=5.0)),
+        poll_timeout_s=draw(st.floats(min_value=0.0, max_value=30.0)),
+    )
+    noise_params = st.dictionaries(
+        st.sampled_from(("drop_p", "duplicate_p", "delay_p", "delay_s", "corrupt_p")),
+        st.floats(min_value=0.0, max_value=0.9),
+    )
+    start = st.floats(min_value=0.0, max_value=20.0)
+    duration = st.floats(min_value=0.5, max_value=20.0)
     faults = []
     if draw(st.booleans()):
         faults.append(
             FaultSpec(
                 kind="channel_blackout",
                 name="blackout",
-                start_at=draw(st.floats(min_value=0.0, max_value=20.0)),
-                duration_s=draw(st.floats(min_value=0.5, max_value=20.0)),
+                start_at=draw(start),
+                duration_s=draw(duration),
                 target="radio",
+            )
+        )
+    if draw(st.booleans()):
+        faults.append(
+            FaultSpec(
+                kind="channel_noise",
+                name="radio-noise",
+                start_at=draw(start),
+                duration_s=draw(st.one_of(st.none(), duration)),
+                target="radio",
+                params=draw(noise_params),
             )
         )
     if draw(st.booleans()):
@@ -131,9 +231,29 @@ def scenario_specs(draw):
             FaultSpec(
                 kind="broker_noise",
                 name="noise",
-                start_at=draw(st.floats(min_value=0.0, max_value=20.0)),
+                start_at=draw(start),
                 target=draw(st.sampled_from(network_names)),
-                params={"drop_p": draw(st.floats(min_value=0.0, max_value=0.9))},
+                params=draw(noise_params),
+            )
+        )
+    if draw(st.booleans()):
+        faults.append(
+            FaultSpec(
+                kind="aggregator_crash",
+                name="crash",
+                start_at=draw(start),
+                duration_s=draw(duration),
+                target=draw(st.sampled_from(network_names)),
+            )
+        )
+    if len(network_names) >= 2 and draw(st.booleans()):
+        faults.append(
+            FaultSpec(
+                kind="backhaul_partition",
+                name="partition",
+                start_at=draw(start),
+                duration_s=draw(duration),
+                groups=_split(draw, network_names, 2),
             )
         )
     return ScenarioSpec(
@@ -144,7 +264,13 @@ def scenario_specs(draw):
         networks=networks,
         devices=devices,
         mesh=mesh,
+        transport=transport,
         faults=tuple(faults),
+        obs=obs,
+        ledger=ledger,
+        sharding=sharding,
+        vector=vector,
+        serve=serve,
     )
 
 
@@ -186,6 +312,203 @@ class TestRoundTrip:
             )
 
 
+def _golden_spec():
+    """A spec with every block, topology and fault kind off its default."""
+    return ScenarioSpec(
+        name="golden",
+        seed=11,
+        t_measure_s=0.2,
+        device_retry=False,
+        networks=(
+            NetworkSpec(
+                name="agg1",
+                supply_voltage_v=12.0,
+                wire_resistance_ohms=0.3,
+                wire_leakage_ma=1.5,
+                slot_count=8,
+            ),
+            NetworkSpec(name="agg2"),
+        ),
+        devices=(
+            DeviceSpec(
+                name="d1",
+                network="agg1",
+                profile=ProfileSpec("constant", {"current_ma": 90.0}),
+            ),
+            DeviceSpec(
+                name="d2",
+                network="agg2",
+                profile=ProfileSpec("duty_cycle", {"high_ma": 200.0, "duty": 0.25}),
+                enter_at=None,
+                distance_m=12.5,
+            ),
+            DeviceSpec(
+                name="d3",
+                network="agg2",
+                profile=ProfileSpec("sinusoid", {"mean_ma": 120.0, "amplitude_ma": 50.0}),
+                enter_at=3.5,
+            ),
+        ),
+        mesh=MeshSpec(topology="explicit", latency_s=0.004, links=(("agg1", "agg2"),)),
+        transport=TransportSpec(
+            kind="direct", latency_s=0.002, loss_p=0.05, connect_s=0.5, scan_s=0.05,
+            assoc_s=0.1,
+        ),
+        faults=(
+            FaultSpec(
+                kind="channel_blackout", name="fb", start_at=10.0, duration_s=2.0,
+                target="radio",
+            ),
+            FaultSpec(
+                kind="channel_noise", name="fn", start_at=5.0, target="radio",
+                params={"drop_p": 0.1, "delay_s": 0.02},
+            ),
+            FaultSpec(
+                kind="broker_noise", name="bn", start_at=6.0, duration_s=4.0,
+                target="agg1", params={"duplicate_p": 0.2},
+            ),
+            FaultSpec(
+                kind="aggregator_crash", name="ac", start_at=20.0, duration_s=5.0,
+                target="agg2",
+            ),
+            FaultSpec(
+                kind="backhaul_partition", name="bp", start_at=15.0, duration_s=3.0,
+                groups=(("agg1",), ("agg2",)),
+            ),
+        ),
+        obs=ObsSpec(enabled=True, spans=False, profile=True, sample_every=500),
+        ledger=LedgerSpec(
+            sync_enabled=True, header_batch_size=8, sync_interval_s=2.5,
+            checkpoint_interval_blocks=4, pruning_depth_blocks=2,
+        ),
+        sharding=ShardSpec(shards=2, window_s=0.001, assignment=(("agg2",), ("agg1",))),
+        vector=VectorSpec(enabled=True, scan_interval_s=2.0, min_cohort=3, backend="python"),
+        serve=ServeSpec(
+            enabled=True, host="0.0.0.0", port=8123, network="agg2", step_s=0.5,
+            poll_timeout_s=0.2,
+        ),
+    )
+
+
+# ``_golden_spec().to_dict()`` pinned as a literal: round-trip tests cannot
+# catch a renamed key (both directions change together); this can.
+GOLDEN_SPEC_DICT = {
+    "name": "golden",
+    "seed": 11,
+    "t_measure_s": 0.2,
+    "device_retry": False,
+    "networks": [
+        {"name": "agg1", "supply_voltage_v": 12.0, "wire_resistance_ohms": 0.3,
+         "wire_leakage_ma": 1.5, "slot_count": 8},
+        {"name": "agg2", "supply_voltage_v": 5.0, "wire_resistance_ohms": 0.1,
+         "wire_leakage_ma": 2.5, "slot_count": None},
+    ],
+    "devices": [
+        {"name": "d1", "network": "agg1",
+         "profile": {"kind": "constant", "params": {"current_ma": 90.0}},
+         "enter_at": 0.0, "distance_m": 5.0},
+        {"name": "d2", "network": "agg2",
+         "profile": {"kind": "duty_cycle", "params": {"high_ma": 200.0, "duty": 0.25}},
+         "enter_at": None, "distance_m": 12.5},
+        {"name": "d3", "network": "agg2",
+         "profile": {"kind": "sinusoid",
+                     "params": {"mean_ma": 120.0, "amplitude_ma": 50.0}},
+         "enter_at": 3.5, "distance_m": 5.0},
+    ],
+    "mesh": {"topology": "explicit", "latency_s": 0.004, "links": [["agg1", "agg2"]]},
+    "transport": {"kind": "direct", "latency_s": 0.002, "loss_p": 0.05,
+                  "connect_s": 0.5, "scan_s": 0.05, "assoc_s": 0.1},
+    "faults": [
+        {"kind": "channel_blackout", "name": "fb", "start_at": 10.0, "duration_s": 2.0,
+         "target": "radio", "groups": [], "params": {}},
+        {"kind": "channel_noise", "name": "fn", "start_at": 5.0, "duration_s": None,
+         "target": "radio", "groups": [], "params": {"drop_p": 0.1, "delay_s": 0.02}},
+        {"kind": "broker_noise", "name": "bn", "start_at": 6.0, "duration_s": 4.0,
+         "target": "agg1", "groups": [], "params": {"duplicate_p": 0.2}},
+        {"kind": "aggregator_crash", "name": "ac", "start_at": 20.0, "duration_s": 5.0,
+         "target": "agg2", "groups": [], "params": {}},
+        {"kind": "backhaul_partition", "name": "bp", "start_at": 15.0, "duration_s": 3.0,
+         "target": None, "groups": [["agg1"], ["agg2"]], "params": {}},
+    ],
+    "obs": {"enabled": True, "spans": False, "profile": True, "sample_every": 500},
+    "ledger": {"sync_enabled": True, "header_batch_size": 8, "sync_interval_s": 2.5,
+               "checkpoint_interval_blocks": 4, "pruning_depth_blocks": 2},
+    "sharding": {"shards": 2, "window_s": 0.001, "assignment": [["agg2"], ["agg1"]]},
+    "vector": {"enabled": True, "scan_interval_s": 2.0, "min_cohort": 3,
+               "backend": "python"},
+    "serve": {"enabled": True, "host": "0.0.0.0", "port": 8123, "network": "agg2",
+              "step_s": 0.5, "poll_timeout_s": 0.2},
+}
+
+
+_DROP = object()
+
+
+def _edit(path, value=_DROP):
+    """A mutator that sets (or deletes) the key at ``path`` in a spec dict."""
+
+    def mutate(data):
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        return data
+
+    return mutate
+
+
+# Spec-file inputs that must be refused with ConfigError, rather than escape
+# as TypeError/KeyError/ValueError or be accepted (some only to fail later
+# inside the kernel).
+MALFORMED_SPECS = {
+    "voltage-as-string": _edit(("networks", 0, "supply_voltage_v"), "5"),
+    "params-as-list": _edit(("devices", 0, "profile", "params"), [1, 2]),
+    "device-without-profile": _edit(("devices", 0, "profile")),
+    "one-ended-link": _edit(("mesh",), {"topology": "explicit", "links": [["agg1"]]}),
+    "null-mesh": _edit(("mesh",), None),
+    "shards-as-string": _edit(("sharding",), {"shards": "2"}),
+    "enabled-as-string": _edit(("vector",), {"enabled": "false"}),
+    "retry-as-string": _edit(("device_retry",), "no"),
+    "seed-as-bool": _edit(("seed",), True),
+    "infinite-t-measure": _edit(("t_measure_s",), float("inf")),
+    "nan-enter-at": _edit(("devices", 0, "enter_at"), float("nan")),
+    "non-object": lambda data: [1, 2],
+    "empty-list": lambda data: [],
+}
+
+
+class TestStrictDecoding:
+    def test_golden_dict_is_stable(self):
+        spec = _golden_spec()
+        assert spec.to_dict() == GOLDEN_SPEC_DICT
+        assert ScenarioSpec.from_dict(GOLDEN_SPEC_DICT) == spec
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_is_a_config_error(self, case):
+        data = paper_testbed_spec().to_dict()
+        data = MALFORMED_SPECS[case](data)
+        # Through the dict API and through a JSON document (Python's json
+        # spells the non-finite floats Infinity / NaN, as a file would).
+        with pytest.raises(ConfigError):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(ConfigError):
+            ScenarioSpec.from_json(json.dumps(data))
+
+    def test_unparsable_json_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            ScenarioSpec.from_json("{not json")
+
+    def test_absent_blocks_take_defaults(self):
+        data = {"networks": [{"name": "agg1"}]}
+        assert ScenarioSpec.from_dict(data) == ScenarioSpec(
+            networks=(NetworkSpec(name="agg1"),)
+        )
+
+
 class TestDeterminism:
     def test_paper_testbed_matches_pre_refactor_digest(self):
         scenario = build(paper_testbed_spec(seed=7))
@@ -196,8 +519,6 @@ class TestDeterminism:
         # Spans + profiler are pure observation: an instrumented run
         # must reproduce the pinned ledger digest bit for bit.
         import dataclasses
-
-        from repro.runtime import ObsSpec
 
         spec = dataclasses.replace(
             paper_testbed_spec(seed=7), obs=ObsSpec(enabled=True)
@@ -214,8 +535,6 @@ class TestDeterminism:
         # world: the chainsync subscription draws no randomness and the
         # sync task never arms.
         import dataclasses
-
-        from repro.runtime import LedgerSpec
 
         spec = dataclasses.replace(paper_testbed_spec(seed=7), ledger=LedgerSpec())
         scenario = build(spec)
@@ -325,3 +644,16 @@ class TestCliScenario:
         capsys.readouterr()
         written = json.loads((out_dir / "scenario_snapshot.json").read_text())
         assert written["master_seed"] == 4
+
+    @pytest.mark.parametrize("command", [[], ["serve"]])
+    def test_bad_spec_file_exits_2_with_message(self, tmp_path, capsys, command):
+        bad = paper_testbed_spec().to_dict()
+        bad["t_measure_s"] = "0.1"
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(bad))
+        for path in (spec_file, tmp_path / "absent.json"):
+            assert main([*command, "--scenario", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("repro-experiments: error: ")
+            assert "Traceback" not in captured.err

@@ -3,6 +3,7 @@
 import dataclasses
 import http.client
 import json
+import time
 
 import pytest
 
@@ -304,6 +305,22 @@ class TestServeHttp:
         status, feed = self._json(server, "GET", "/alerts?since=0&timeout_s=0.05")
         assert status == 200
         assert feed == {"alerts": [], "next": 0}
+
+    def test_alerts_timeout_is_finite_and_clamped(self):
+        # A client's timeout_s may not pin a handler thread beyond the
+        # spec's poll timeout, and a non-finite one is a bad request.
+        service = AggregatorService(serve_spec(poll_timeout_s=0.05))
+        with ServeRunner(service) as runner:
+            conn = http.client.HTTPConnection(*runner.address, timeout=10)
+            for bad in ("inf", "-inf", "nan"):
+                status, body = self._json(conn, "GET", f"/alerts?timeout_s={bad}")
+                assert status == 400 and "finite" in body["error"]
+            for value in ("60", "1e12", "-3"):
+                started = time.monotonic()
+                status, feed = self._json(conn, "GET", f"/alerts?timeout_s={value}")
+                assert status == 200 and feed == {"alerts": [], "next": 0}
+                assert time.monotonic() - started < 5.0
+            conn.close()
 
     def test_clean_shutdown_releases_port(self):
         service = AggregatorService(serve_spec())
