@@ -13,20 +13,16 @@ Components:
 * :mod:`repro.chain.ledger` — the append-only validated chain,
 * :mod:`repro.chain.store` — block storage backends,
 * :mod:`repro.chain.audit` — tamper detection over stored chains,
+* :mod:`repro.chain.receipts` — offline Merkle inclusion receipts,
 * :mod:`repro.chain.sync` — lightweight-client header sync and
-  checkpoints (Danzi et al.),
-* :mod:`repro.chain.consensus` — optional proof-of-authority rounds
-  (the paper's future-work "consensus among devices").
+  checkpoints (Danzi et al.).
 """
 
 from repro.chain.audit import AuditReport, audit_chain
 from repro.chain.block import Block, BlockHeader
-from repro.chain.consensus import PoaConsensus, Validator, Vote
-from repro.chain.consensus_net import NetworkedPoaConsensus, NetworkedValidator
 from repro.chain.hashing import canonical_bytes, sha256_hex
 from repro.chain.ledger import Blockchain
 from repro.chain.merkle import MerkleTree, merkle_root
-from repro.chain.pbft import PbftCluster, PbftReplica
 from repro.chain.receipts import (
     InclusionReceipt,
     find_and_issue,
@@ -57,13 +53,6 @@ __all__ = [
     "SyncStats",
     "receipt_from_dict",
     "receipt_to_dict",
-    "PoaConsensus",
-    "Validator",
-    "Vote",
-    "NetworkedPoaConsensus",
-    "NetworkedValidator",
-    "PbftCluster",
-    "PbftReplica",
     "InclusionReceipt",
     "find_and_issue",
     "issue_receipt",

@@ -86,10 +86,6 @@ class PrunedBlockError(ChainError):
     """A block body was requested below the ledger's pruning boundary."""
 
 
-class ConsensusError(ChainError):
-    """The consensus extension failed to reach agreement."""
-
-
 class StorageError(ReproError):
     """The device-local store-and-forward buffer failed an operation."""
 

@@ -63,8 +63,9 @@ class LinkFaultSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.drop_p + self.duplicate_p + self.delay_p + self.corrupt_p > 1.0:
-            raise ConfigError("fault probabilities must sum to <= 1")
+        total = self.drop_p + self.duplicate_p + self.delay_p + self.corrupt_p
+        if total > 1.0:
+            raise ConfigError(f"drop_p+duplicate_p+delay_p+corrupt_p must be <= 1, got {total}")
         if self.delay_s < 0:
             raise ConfigError(f"delay must be >= 0, got {self.delay_s}")
 

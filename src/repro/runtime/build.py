@@ -21,7 +21,7 @@ from repro.chain.ledger import Blockchain
 from repro.chain.sync import SyncPolicy
 from repro.device.stack import DeviceConfig, MeteringDevice
 from repro.errors import ConfigError
-from repro.faults.injectors import LinkFaultInjector, LinkFaultSpec
+from repro.faults.injectors import LinkFaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.grid.topology import GridNetwork, GridTopology
 from repro.hw.powerline import WireSegment
@@ -93,16 +93,10 @@ def _arm_fault(
         plan.link_blackout(fault.name, injector, fault.start_at, fault.duration_s)
     elif fault.kind == "channel_noise":
         injector = _channel_injector(scenario, injectors, fault.target or "radio")
-        plan.link_noise(
-            fault.name, injector, LinkFaultSpec(**fault.params), fault.start_at,
-            fault.duration_s,
-        )
+        plan.link_noise(fault.name, injector, fault.link_fault(), fault.start_at, fault.duration_s)
     elif fault.kind == "broker_noise":
         injector = _broker_injector(scenario, injectors, fault.target)
-        plan.link_noise(
-            fault.name, injector, LinkFaultSpec(**fault.params), fault.start_at,
-            fault.duration_s,
-        )
+        plan.link_noise(fault.name, injector, fault.link_fault(), fault.start_at, fault.duration_s)
     elif fault.kind == "aggregator_crash":
         plan.aggregator_crash(
             fault.name, scenario.aggregator(fault.target), fault.start_at,

@@ -25,6 +25,7 @@ from types import UnionType
 from typing import Any, Callable, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigError
+from repro.faults.injectors import LinkFaultSpec
 
 PROFILE_KINDS = ("constant", "duty_cycle", "sinusoid")
 MESH_TOPOLOGIES = ("full", "line", "star", "explicit")
@@ -271,6 +272,9 @@ class MeshSpec(SpecCodec):
             raise ConfigError(f"mesh latency must be positive, got {self.latency_s}")
         if self.links and self.topology != "explicit":
             raise ConfigError("explicit links require topology='explicit'")
+        for a, b in self.links:
+            if a == b:
+                raise ConfigError(f"mesh self-link at {a!r} not allowed")
 
     def resolve_links(self, names: list[str]) -> list[tuple[str, str]]:
         """The concrete link list for networks ``names`` (in order)."""
@@ -591,7 +595,8 @@ class FaultSpec(SpecCodec):
         groups: Partition groups of network names
             (``backhaul_partition`` only).
         params: Noise probabilities (``drop_p``, ``duplicate_p``,
-            ``delay_p``, ``delay_s``, ``corrupt_p``) for noise kinds.
+            ``delay_p``, ``delay_s``, ``corrupt_p``) for noise kinds;
+            every other kind takes none.
     """
 
     kind: str
@@ -622,8 +627,23 @@ class FaultSpec(SpecCodec):
                 raise ConfigError(f"partition fault {self.name!r} needs a duration")
             if len(self.groups) < 2:
                 raise ConfigError(f"partition fault {self.name!r} needs >= 2 groups")
+            members = [m for group in self.groups for m in group]
+            twice = sorted({m for m in members if members.count(m) > 1})
+            if twice:
+                raise ConfigError(f"partition fault {self.name!r} puts {twice} in two groups")
         if self.kind in ("broker_noise", "aggregator_crash") and not self.target:
             raise ConfigError(f"{self.kind} fault {self.name!r} needs a target")
+        if self.kind in ("channel_noise", "broker_noise"):
+            self.link_fault()
+        elif self.params:
+            raise ConfigError(f"{self.kind} fault {self.name!r} takes no params, got {self.params}")
+
+    def link_fault(self) -> LinkFaultSpec:
+        """The stationary noise of a noise-kind fault, range-checked."""
+        try:
+            return LinkFaultSpec(**self.params)
+        except (TypeError, ConfigError) as exc:
+            raise ConfigError(f"{self.kind} fault {self.name!r}: {exc}") from exc
 
 
 
@@ -733,6 +753,9 @@ class ScenarioSpec(SpecCodec):
                         raise ConfigError(
                             f"fault {fault.name!r} partitions unknown network {member!r}"
                         )
+            missing = sorted(known.difference(*fault.groups))
+            if fault.kind == "backhaul_partition" and missing:
+                raise ConfigError(f"partition fault {fault.name!r} misses {missing}")
 
     @property
     def network_names(self) -> list[str]:

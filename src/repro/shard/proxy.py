@@ -8,6 +8,8 @@ a message whose destination lives on another shard is appended to an
 outbox (with its absolute arrival time) instead of being scheduled
 locally; the runner drains outboxes at each window barrier and the
 owning shard injects them via :meth:`ShardBackhaulProxy.deliver_remote`.
+The inherited ``broadcast`` reaches local aggregators only; the
+protocol layers address every backhaul message to one peer.
 
 Counter discipline: ``messages_sent``/``messages_dropped`` follow the
 serial mesh's send-side semantics on the *source* shard; the receiving
@@ -36,8 +38,8 @@ class ShardBackhaulProxy(BackhaulMesh):
         runtime: The shard's kernel or shared context.
         shard_index: This shard's index (stamped on outbox messages).
         order: Every aggregator in the *full* spec, declaration order —
-            broadcasts must fan out in exactly the serial iteration
-            order, locals and remotes interleaved.
+            remote nodes join the routing graph in exactly the serial
+            order, so latency paths match the serial mesh.
         remote: The subset of ``order`` owned by other shards.
         per_hop_cost_s: As on :class:`BackhaulMesh`.
     """
@@ -58,11 +60,10 @@ class ShardBackhaulProxy(BackhaulMesh):
                 f"{sorted(a.name for a in unknown)}"
             )
         self._shard_index = shard_index
-        self._order = tuple(order)
         self._remote = frozenset(remote)
         # Remote nodes join the routing graph up front: links touching
         # them must wire, and latency paths must match the serial mesh.
-        for aggregator_id in self._order:
+        for aggregator_id in order:
             if aggregator_id in self._remote:
                 self._graph.add_node(aggregator_id)
         self._outbox: list[RemoteMessage] = []
@@ -130,14 +131,6 @@ class ShardBackhaulProxy(BackhaulMesh):
             # records the delivery.
             self._spans.finish(span, "forwarded", remote_shard=True)
         return latency
-
-    def broadcast(self, source: AggregatorId, payload: Any) -> int:
-        # Global declaration order, locals and remotes interleaved —
-        # bit-identical side-effect order to the serial mesh's fan-out.
-        others = [agg for agg in self._order if agg != source]
-        for destination in others:
-            self.send(source, destination, payload)
-        return len(others)
 
     def drain_outbox(self) -> list[RemoteMessage]:
         """Take (and clear) the messages queued for other shards."""

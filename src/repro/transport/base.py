@@ -13,7 +13,7 @@ to the MQTT-over-Wi-Fi models.  This module names the seam instead:
   and the RSSI a device sees at a distance,
 * :class:`Transport` — the backend factory tying the three together,
 * :class:`Mesh` — the structural interface of the inter-aggregator
-  backhaul that the roaming/consensus layers speak.
+  backhaul that the roaming layer speaks.
 
 Concrete backends live in :mod:`repro.transport.mqtt` (full radio
 fidelity, wraps :mod:`repro.net.mqtt` / :mod:`repro.net.wifi`) and
@@ -276,7 +276,7 @@ class Transport(abc.ABC):
 
 @runtime_checkable
 class Mesh(Protocol):
-    """What the roaming/consensus layers need of the backhaul.
+    """What the roaming layer needs of the backhaul.
 
     Structural: :class:`repro.net.backhaul.BackhaulMesh` satisfies it
     unchanged; an alternative backhaul only has to route payloads
@@ -290,12 +290,6 @@ class Mesh(Protocol):
 
     def send(self, source: "AggregatorId", destination: "AggregatorId", payload: Any) -> float: ...
 
-    def broadcast(self, source: "AggregatorId", payload: Any) -> int: ...
-
-    def connect(self, link: Any) -> None: ...
-
     def set_node_down(self, aggregator_id: "AggregatorId", down: bool) -> None: ...
-
-    def latency_s(self, source: "AggregatorId", destination: "AggregatorId") -> float: ...
 
     def trace(self, kind: str, **fields: Any) -> None: ...

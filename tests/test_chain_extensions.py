@@ -1,4 +1,4 @@
-"""Tests for networked consensus and inclusion receipts."""
+"""Tests for inclusion receipts."""
 
 import pytest
 
@@ -6,97 +6,10 @@ from repro.chain import (
     Block,
     Blockchain,
     InMemoryBlockStore,
-    NetworkedPoaConsensus,
-    NetworkedValidator,
     find_and_issue,
     issue_receipt,
 )
-from repro.errors import ChainError, ConsensusError
-from repro.ids import AggregatorId
-from repro.net import BackhaulLink, BackhaulMesh
-from repro.sim import Simulator
-
-
-def make_committee(n=4, check=None, link_latency=0.001):
-    sim = Simulator(seed=0)
-    mesh = BackhaulMesh(sim)
-    chain = Blockchain(authorized=set())
-    validators = [
-        NetworkedValidator(sim, AggregatorId(f"v{i}"), mesh, check=check)
-        for i in range(n)
-    ]
-    for i, a in enumerate(validators):
-        for b in validators[i + 1:]:
-            mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=link_latency))
-    consensus = NetworkedPoaConsensus(sim, validators, chain)
-    return sim, chain, consensus
-
-
-RECORDS = [{"device": "d1", "device_uid": "u1", "sequence": 0,
-            "measured_at": 0.0, "energy_mwh": 0.5}]
-
-
-class TestNetworkedConsensus:
-    def test_honest_round_commits(self):
-        sim, chain, consensus = make_committee(4)
-        outcomes = []
-        consensus.propose(RECORDS, lambda ok, lat: outcomes.append((ok, lat)))
-        sim.run()
-        assert outcomes and outcomes[0][0] is True
-        assert chain.height == 1
-
-    def test_commit_latency_reflects_network(self):
-        # Latency >= proposal hop + processing + vote hop.
-        sim, _, consensus = make_committee(4, link_latency=0.005)
-        latencies = []
-        consensus.propose(RECORDS, lambda ok, lat: latencies.append(lat))
-        sim.run()
-        assert latencies[0] >= 0.005 + 0.002 + 0.005
-
-    def test_latency_smaller_on_faster_links(self):
-        def run(link):
-            sim, _, consensus = make_committee(4, link_latency=link)
-            latencies = []
-            consensus.propose(RECORDS, lambda ok, lat: latencies.append(lat))
-            sim.run()
-            return latencies[0]
-
-        assert run(0.001) < run(0.010)
-
-    def test_fraud_rejected_by_quorum(self):
-        def plausible(records):
-            return all(r["energy_mwh"] < 100 for r in records)
-
-        sim, chain, consensus = make_committee(5, check=plausible)
-        outcomes = []
-        forged = [dict(RECORDS[0], energy_mwh=1e9)]
-        consensus.propose(forged, lambda ok, lat: outcomes.append(ok))
-        sim.run()
-        assert outcomes == [False]
-        assert chain.height == 0
-
-    def test_proposer_rotates_across_rounds(self):
-        sim, chain, consensus = make_committee(3)
-        done = []
-        consensus.propose(RECORDS, lambda ok, lat: done.append(ok))
-        sim.run()
-        consensus.propose(RECORDS, lambda ok, lat: done.append(ok))
-        sim.run()
-        creators = [b.header.aggregator for b in chain]
-        assert creators == ["v0", "v1"]
-
-    def test_rejection_decided_early(self):
-        # With 3 validators and quorum > 2/3, 1 reject is decisive.
-        sim, chain, consensus = make_committee(3, check=lambda r: False)
-        outcomes = []
-        consensus.propose(RECORDS, lambda ok, lat: outcomes.append(ok))
-        sim.run()
-        assert outcomes == [False]
-
-    def test_empty_committee_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ConsensusError):
-            NetworkedPoaConsensus(sim, [], Blockchain())
+from repro.errors import ChainError
 
 
 class TestInclusionReceipts:

@@ -142,7 +142,8 @@ def scenario_specs(draw):
             topology="explicit",
             latency_s=mesh.latency_s,
             links=tuple(
-                draw(
+                (a, b)
+                for a, b in draw(
                     st.lists(
                         st.tuples(
                             st.sampled_from(network_names),
@@ -151,6 +152,7 @@ def scenario_specs(draw):
                         max_size=4,
                     )
                 )
+                if a != b
             ),
         )
     transport = TransportSpec(
@@ -198,9 +200,10 @@ def scenario_specs(draw):
         step_s=draw(st.floats(min_value=0.01, max_value=5.0)),
         poll_timeout_s=draw(st.floats(min_value=0.0, max_value=30.0)),
     )
+    # Four probabilities of at most 0.25 each keep their sum <= 1.
     noise_params = st.dictionaries(
         st.sampled_from(("drop_p", "duplicate_p", "delay_p", "delay_s", "corrupt_p")),
-        st.floats(min_value=0.0, max_value=0.9),
+        st.floats(min_value=0.0, max_value=0.25),
     )
     start = st.floats(min_value=0.0, max_value=20.0)
     duration = st.floats(min_value=0.5, max_value=20.0)
@@ -461,6 +464,15 @@ def _edit(path, value=_DROP):
     return mutate
 
 
+def _fault(kind, params, **extra):
+    return {"kind": kind, "name": "f", "start_at": 12.0, "params": params, **extra}
+
+
+def _partition(groups):
+    return {"kind": "backhaul_partition", "name": "bp", "start_at": 12.0,
+            "duration_s": 3.0, "groups": groups}
+
+
 # Spec-file inputs that must be refused with ConfigError, rather than escape
 # as TypeError/KeyError/ValueError or be accepted (some only to fail later
 # inside the kernel).
@@ -478,6 +490,22 @@ MALFORMED_SPECS = {
     "nan-enter-at": _edit(("devices", 0, "enter_at"), float("nan")),
     "non-object": lambda data: [1, 2],
     "empty-list": lambda data: [],
+    "noise-unknown-param": _edit(("faults",), [_fault("channel_noise", {"bogus": 1.0})]),
+    "noise-param-out-of-range": _edit(
+        ("faults",), [_fault("broker_noise", {"drop_p": 1.5}, target="agg1")]
+    ),
+    "noise-params-sum-over-one": _edit(
+        ("faults",), [_fault("channel_noise", {"drop_p": 0.6, "corrupt_p": 0.6})]
+    ),
+    "crash-with-params": _edit(
+        ("faults",),
+        [_fault("aggregator_crash", {"drop_p": 0.1}, target="agg1", duration_s=1.0)],
+    ),
+    "mesh-self-link": _edit(("mesh",), {"topology": "explicit", "links": [["agg1", "agg1"]]}),
+    "partition-overlapping-groups": _edit(
+        ("faults",), [_partition([["agg1"], ["agg1", "agg2"]])]
+    ),
+    "partition-missing-network": _edit(("faults",), [_partition([["agg1"], []])]),
 }
 
 
@@ -651,7 +679,11 @@ class TestCliScenario:
         bad["t_measure_s"] = "0.1"
         spec_file = tmp_path / "bad.json"
         spec_file.write_text(json.dumps(bad))
-        for path in (spec_file, tmp_path / "absent.json"):
+        # A shape that used to build and then fail mid-run, at start_at.
+        overlap = MALFORMED_SPECS["partition-overlapping-groups"](paper_testbed_spec().to_dict())
+        overlap_file = tmp_path / "overlap.json"
+        overlap_file.write_text(json.dumps(overlap))
+        for path in (spec_file, overlap_file, tmp_path / "absent.json"):
             assert main([*command, "--scenario", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

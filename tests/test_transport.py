@@ -32,7 +32,7 @@ from repro.workloads.scenarios import paper_testbed_spec
 BACKENDS = ("mqtt", "direct")
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
-PROTOCOL_PACKAGES = ("device", "aggregator", "decentral")
+PROTOCOL_PACKAGES = ("device", "aggregator", "vector", "serve")
 BANNED_MODULES = ("repro.net.mqtt", "repro.net.wifi")
 
 
@@ -74,7 +74,7 @@ def _imported_modules(path: Path) -> set[str]:
 
 class TestLayering:
     def test_protocol_layers_never_import_backend_modules(self):
-        """device/, aggregator/, decentral/ speak only the transport API."""
+        """device/, aggregator/, vector/, serve/ speak only the transport API."""
         offenders = []
         for package in PROTOCOL_PACKAGES:
             for path in sorted((SRC_ROOT / package).rglob("*.py")):
